@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline baseline-serve doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline baseline-serve doc-check serve-smoke cover alloc-gate perfbench-test fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile
 
 all: build vet fmt-check doc-check test
 
@@ -38,13 +38,21 @@ race:
 # and so must the server's streaming-ingest decode path (frame -> SoA batch
 # with reused scratch and interned tags), the epoch-stage trace recorder
 # (timestamps on every epoch of every session) and the latency-histogram
-# record path (on every request).
+# record path (on every request). An epoch that compresses k beliefs may
+# allocate only the k compressed Gaussians beyond the same epoch without
+# compression.
 alloc-gate:
 	$(GO) test -run 'TestStepObjectsZeroAlloc|TestEpochPrologueAllocBound' -v ./internal/factored
-	$(GO) test -run 'TestShardedEpochAllocsNoWorseThanSerial' -v ./internal/core
+	$(GO) test -run 'TestShardedEpochAllocsNoWorseThanSerial|TestCompressionEpochAllocBound' -v ./internal/core
 	$(GO) test -run 'TestStreamDecodeZeroAlloc' -v ./internal/serve
 	$(GO) test -run 'TestTraceRecorderZeroAlloc' -v ./internal/trace
 	$(GO) test -run 'TestHistogramObserveZeroAlloc' -v ./internal/metrics
+
+# The benchmark harness is a module of its own, so `go test ./...` at the
+# root never enters it: its input-determinism, metric-set and result-check
+# tests run here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Metric-name lint: every literal metric registration must follow the
 # Prometheus conventions the dashboards rely on — snake_case names, counters

@@ -10,7 +10,8 @@
 package belief
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -105,20 +106,26 @@ func NewManager(cfg Config) *Manager {
 // Config returns the effective configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Select returns the ids that should be compressed at the current epoch,
-// given the uncompressed candidates (each with the epoch it was last seen).
-// For the KLRanked mode the filter is queried for per-object compression KL;
-// it may be nil for the LeaveScope mode.
-func (m *Manager) Select(epoch int, candidates []Candidate, f Filter) []stream.TagID {
-	var eligible []Candidate
+// Select returns the candidates that should be compressed at the current
+// epoch, in compression order, given the uncompressed candidates (each with
+// the epoch it was last seen). The result is built in dst, reused from its
+// start, so a caller that passes back the previous result selects without
+// allocating; candidates is only read.
+//
+// For the KLRanked mode the filter is queried for per-object compression KL
+// and each returned candidate carries the KL it was ranked on; f may be nil
+// for the LeaveScope mode, which measures no KL and returns KL 0.
+func (m *Manager) Select(dst []Candidate, epoch int, candidates []Candidate, f Filter) []Candidate {
+	eligible := slices.Grow(dst[:0], len(candidates))
 	for _, c := range candidates {
 		if epoch-c.LastSeen < m.cfg.OutOfScopeEpochs {
 			continue
 		}
+		c.KL = 0
 		eligible = append(eligible, c)
 	}
 	if len(eligible) == 0 {
-		return nil
+		return eligible
 	}
 
 	if m.cfg.Mode == KLRanked && f != nil {
@@ -127,11 +134,11 @@ func (m *Manager) Select(epoch int, candidates []Candidate, f Filter) []stream.T
 				eligible[i].KL = kl
 			}
 		}
-		sort.Slice(eligible, func(i, j int) bool {
-			if eligible[i].KL != eligible[j].KL {
-				return eligible[i].KL < eligible[j].KL
+		slices.SortFunc(eligible, func(a, b Candidate) int {
+			if c := cmp.Compare(a.KL, b.KL); c != 0 {
+				return c
 			}
-			return eligible[i].ID < eligible[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 		if m.cfg.KLThreshold > 0 {
 			cut := 0
@@ -142,20 +149,16 @@ func (m *Manager) Select(epoch int, candidates []Candidate, f Filter) []stream.T
 		}
 	} else {
 		// Deterministic order: oldest unseen first.
-		sort.Slice(eligible, func(i, j int) bool {
-			if eligible[i].LastSeen != eligible[j].LastSeen {
-				return eligible[i].LastSeen < eligible[j].LastSeen
+		slices.SortFunc(eligible, func(a, b Candidate) int {
+			if c := cmp.Compare(a.LastSeen, b.LastSeen); c != 0 {
+				return c
 			}
-			return eligible[i].ID < eligible[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 	}
 
 	if len(eligible) > m.cfg.MaxPerEpoch {
 		eligible = eligible[:m.cfg.MaxPerEpoch]
 	}
-	out := make([]stream.TagID, len(eligible))
-	for i, c := range eligible {
-		out[i] = c.ID
-	}
-	return out
+	return eligible
 }

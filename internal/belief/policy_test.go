@@ -1,6 +1,7 @@
 package belief
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -14,6 +15,15 @@ func (f fakeFilter) CandidateKL(id stream.TagID) (float64, bool) {
 	return kl, ok
 }
 
+// ids projects a selection onto its object ids.
+func ids(sel []Candidate) []stream.TagID {
+	out := make([]stream.TagID, len(sel))
+	for i, c := range sel {
+		out[i] = c.ID
+	}
+	return out
+}
+
 func TestLeaveScopeSelectsOnlyStaleObjects(t *testing.T) {
 	m := NewManager(Config{Mode: LeaveScope, OutOfScopeEpochs: 10})
 	candidates := []Candidate{
@@ -21,7 +31,7 @@ func TestLeaveScopeSelectsOnlyStaleObjects(t *testing.T) {
 		{ID: "stale", LastSeen: 80},
 		{ID: "very-stale", LastSeen: 10},
 	}
-	got := m.Select(100, candidates, nil)
+	got := ids(m.Select(nil, 100, candidates, nil))
 	if len(got) != 2 {
 		t.Fatalf("selected %v", got)
 	}
@@ -37,7 +47,7 @@ func TestLeaveScopeTieBreaksOnID(t *testing.T) {
 		{ID: "b", LastSeen: 10},
 		{ID: "a", LastSeen: 10},
 	}
-	got := m.Select(100, candidates, nil)
+	got := ids(m.Select(nil, 100, candidates, nil))
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("tie-break order = %v", got)
 	}
@@ -49,7 +59,7 @@ func TestMaxPerEpochBoundsWork(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		candidates = append(candidates, Candidate{ID: stream.TagID(rune('a' + i)), LastSeen: i})
 	}
-	got := m.Select(100, candidates, nil)
+	got := ids(m.Select(nil, 100, candidates, nil))
 	if len(got) != 3 {
 		t.Errorf("selected %d, want 3", len(got))
 	}
@@ -63,7 +73,7 @@ func TestKLRankedPrefersCompactBeliefs(t *testing.T) {
 		{ID: "medium", LastSeen: 0},
 	}
 	f := fakeFilter{"spread": 5.0, "compact": 0.01, "medium": 0.5}
-	got := m.Select(100, candidates, f)
+	got := ids(m.Select(nil, 100, candidates, f))
 	// The spread belief exceeds the threshold and must not be compressed.
 	if len(got) != 2 {
 		t.Fatalf("selected %v", got)
@@ -76,7 +86,7 @@ func TestKLRankedPrefersCompactBeliefs(t *testing.T) {
 func TestKLRankedWithoutThresholdKeepsAll(t *testing.T) {
 	m := NewManager(Config{Mode: KLRanked, OutOfScopeEpochs: 1, MaxPerEpoch: 10})
 	candidates := []Candidate{{ID: "a", LastSeen: 0}, {ID: "b", LastSeen: 0}}
-	got := m.Select(10, candidates, fakeFilter{"a": 3, "b": 1})
+	got := ids(m.Select(nil, 10, candidates, fakeFilter{"a": 3, "b": 1}))
 	if len(got) != 2 || got[0] != "b" {
 		t.Errorf("selection = %v", got)
 	}
@@ -84,11 +94,11 @@ func TestKLRankedWithoutThresholdKeepsAll(t *testing.T) {
 
 func TestSelectEmptyCandidates(t *testing.T) {
 	m := NewManager(DefaultConfig())
-	if got := m.Select(5, nil, nil); got != nil {
+	if got := m.Select(nil, 5, nil, nil); got != nil {
 		t.Errorf("expected nil for no candidates, got %v", got)
 	}
 	// All candidates recently seen: nothing selected.
-	got := m.Select(5, []Candidate{{ID: "a", LastSeen: 5}}, nil)
+	got := m.Select(nil, 5, []Candidate{{ID: "a", LastSeen: 5}}, nil)
 	if len(got) != 0 {
 		t.Errorf("recently-seen candidate selected: %v", got)
 	}
@@ -102,5 +112,52 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if LeaveScope.String() != "leave-scope" || KLRanked.String() != "kl-ranked" || Mode(9).String() != "unknown" {
 		t.Error("Mode.String wrong")
+	}
+}
+
+func TestSelectCarriesRankedKL(t *testing.T) {
+	candidates := []Candidate{{ID: "a", LastSeen: 0}, {ID: "b", LastSeen: 0}}
+	f := fakeFilter{"a": 0.5, "b": 0.25}
+	m := NewManager(Config{Mode: KLRanked, OutOfScopeEpochs: 1})
+	got := m.Select(nil, 10, candidates, f)
+	if len(got) != 2 || got[0] != (Candidate{ID: "b", KL: 0.25}) || got[1] != (Candidate{ID: "a", KL: 0.5}) {
+		t.Errorf("KL-ranked selection = %+v; want each candidate with its measured KL", got)
+	}
+	// LeaveScope measures no KL, even when given a filter or a stale value.
+	stale := []Candidate{{ID: "a", LastSeen: 0, KL: 7}}
+	m = NewManager(Config{Mode: LeaveScope, OutOfScopeEpochs: 1})
+	if got := m.Select(nil, 10, stale, f); len(got) != 1 || got[0].KL != 0 {
+		t.Errorf("leave-scope selection = %+v; want KL 0", got)
+	}
+	if stale[0].KL != 7 {
+		t.Error("Select modified its candidates")
+	}
+}
+
+func TestSelectReusesScratch(t *testing.T) {
+	var candidates []Candidate
+	for i := 0; i < 40; i++ {
+		candidates = append(candidates, Candidate{ID: stream.TagID(rune('A' + i)), LastSeen: i % 7})
+	}
+	f := fakeFilter{}
+	for i, c := range candidates {
+		f[c.ID] = float64(i%5) / 10
+	}
+	for _, cfg := range []Config{
+		{Mode: LeaveScope, OutOfScopeEpochs: 1, MaxPerEpoch: 16},
+		{Mode: KLRanked, OutOfScopeEpochs: 1, KLThreshold: 0.3},
+	} {
+		m := NewManager(cfg)
+		buf := m.Select(nil, 100, candidates, f)
+		want := ids(buf)
+		allocs := testing.AllocsPerRun(20, func() {
+			buf = m.Select(buf, 100, candidates, f)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Select with reused scratch allocates %.1f times; want 0", cfg.Mode, allocs)
+		}
+		if got := ids(buf); !slices.Equal(got, want) {
+			t.Errorf("%v: reused-scratch selection %v differs from %v", cfg.Mode, got, want)
+		}
 	}
 }

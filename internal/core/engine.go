@@ -47,13 +47,14 @@ type Engine struct {
 	// Reusable per-epoch scratch, only ever touched from the sequential
 	// phases of an epoch (prologue and barrier): the observed-object list,
 	// the Case-1/Case-2 active set with its de-dup map, the spatial-index
-	// probe buffer, and the compression candidate list.
+	// probe buffer, and the compression candidate and selection lists.
 	observedBuf []stream.TagID
 	activeBuf   []stream.TagID
 	activeSeen  map[stream.TagID]bool
 	case2Buf    []stream.TagID
 	mergedBuf   []stream.TagID
 	candBuf     []belief.Candidate
+	chosenBuf   []belief.Candidate
 
 	stats     Stats
 	lastEpoch int
@@ -330,12 +331,14 @@ func (e *Engine) runCompression(epoch int) {
 	if len(candidates) == 0 {
 		return
 	}
-	chosen := e.beliefMgr.Select(epoch, candidates, filterAdapter{e.fact})
-	for _, id := range chosen {
-		if _, ok := e.fact.CompressObject(id); ok {
+	e.chosenBuf = e.beliefMgr.Select(e.chosenBuf, epoch, candidates, filterAdapter{e.fact})
+	for _, c := range e.chosenBuf {
+		// c.KL is the divergence the policy ranked on (0 when it does not
+		// rank by KL); CompressObject stores it and measures nothing.
+		if e.fact.CompressObject(c.ID, c.KL) {
 			e.stats.Compressions++
 		}
-		e.watch.Drop(id)
+		e.watch.Drop(c.ID)
 	}
 }
 

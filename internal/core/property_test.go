@@ -5,20 +5,26 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/belief"
+	"repro/internal/checkpoint"
 	"repro/internal/rng"
+	"repro/internal/stream"
 )
 
 // TestPropertyShardedMatchesSerialMatrix is the randomized determinism
 // property suite: for a seeded matrix of traces and engine configurations,
 // the sharded engine's event stream must be byte-identical to the serial
 // engine's for every combination of Workers in {1,2,4,8} and ShardCount in
-// {1,3,8,32}. Each seed draws a different trace and a different pipeline
-// variant (spatial index on/off, compression on/off, report policy) from its
-// own deterministic stream, so the property is exercised well beyond the one
-// fixed golden trace — yet failures reproduce exactly from the seed printed
-// in the subtest name.
+// {1,3,8,32}, and a sharded run checkpointed mid-trace must continue
+// byte-identically in a fresh serial engine. Each seed draws a different trace
+// and a different pipeline variant (spatial index on/off, compression on/off,
+// leave-scope or KL-ranked compression policy) from its own deterministic
+// stream, so the property is exercised well beyond the one fixed golden trace
+// — yet failures reproduce exactly from the seed printed in the subtest name.
 func TestPropertyShardedMatchesSerialMatrix(t *testing.T) {
-	seeds := []int64{101, 202, 303}
+	// 505 and 909 are the seeds whose draws enable compression, under the
+	// leave-scope and the KL-ranked policy respectively.
+	seeds := []int64{101, 202, 303, 505, 909}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
@@ -42,6 +48,10 @@ func TestPropertyShardedMatchesSerialMatrix(t *testing.T) {
 			cfg.SpatialIndex = pick.Bernoulli(0.5)
 			cfg.Compression = pick.Bernoulli(0.5)
 			cfg.Seed = seed*7 + 1
+			if pick.Bernoulli(0.5) {
+				cfg.CompressionPolicy.Mode = belief.KLRanked
+				cfg.CompressionPolicy.KLThreshold = 0.9
+			}
 
 			serial, err := New(cfg)
 			if err != nil {
@@ -68,14 +78,42 @@ func TestPropertyShardedMatchesSerialMatrix(t *testing.T) {
 						t.Fatalf("sharded Run(workers=%d,shards=%d): %v", workers, shards, err)
 					}
 					if !bytes.Equal(encodeEvents(t, got), wantBytes) {
-						t.Errorf("seed=%d workers=%d shards=%d (index=%v compression=%v): events differ from serial engine",
-							seed, workers, shards, cfg.SpatialIndex, cfg.Compression)
+						t.Errorf("seed=%d workers=%d shards=%d (index=%v compression=%v policy=%v): events differ from serial engine",
+							seed, workers, shards, cfg.SpatialIndex, cfg.Compression, cfg.CompressionPolicy.Mode)
 					}
 					if se.Stats() != wantStats {
 						t.Errorf("seed=%d workers=%d shards=%d: stats %+v != serial %+v",
 							seed, workers, shards, se.Stats(), wantStats)
 					}
 				}
+			}
+
+			split := len(trace.Epochs) / 2
+			a := newEngineForTest(t, cfg, 4, 8)
+			var got []stream.Event
+			for _, ep := range trace.Epochs[:split] {
+				evs, err := a.ProcessEpoch(ep)
+				if err != nil {
+					t.Fatalf("sharded ProcessEpoch: %v", err)
+				}
+				got = append(got, evs...)
+			}
+			enc := checkpoint.NewEncoder()
+			a.SaveState(enc)
+			b := newEngineForTest(t, cfg, 0, 0)
+			if err := b.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			for _, ep := range trace.Epochs[split:] {
+				evs, err := b.ProcessEpoch(ep)
+				if err != nil {
+					t.Fatalf("restored ProcessEpoch: %v", err)
+				}
+				got = append(got, evs...)
+			}
+			got = append(got, b.Finish()...)
+			if !bytes.Equal(encodeEvents(t, got), wantBytes) {
+				t.Errorf("seed=%d: run restored from a mid-trace checkpoint differs from the uninterrupted run", seed)
 			}
 		})
 	}

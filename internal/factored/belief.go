@@ -58,8 +58,10 @@ type ObjectBelief struct {
 	// Gaussian (Section IV-D). While compressed, the particle columns are
 	// released.
 	Compressed *stats.Gaussian3
-	// CompressionKL is the KL divergence measured when the belief was last
-	// compressed; it quantifies the information lost by compression.
+	// CompressionKL is the KL divergence the compression policy measured
+	// when it chose this belief for its last compression: the information
+	// that compression lost, as a KL-ranked policy ranks it. It is 0 when the
+	// policy does not rank by KL (LeaveScope), which measures none.
 	CompressionKL float64
 
 	// FirstSeen and LastSeen are the epochs of the first and most recent

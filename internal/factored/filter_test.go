@@ -202,16 +202,22 @@ func TestCompressAndDecompress(t *testing.T) {
 	}
 	before, _, _ := f.Estimate("obj")
 
-	kl, ok := f.CompressObject("obj")
+	kl, ok := f.CompressionCandidateKL("obj")
 	if !ok {
-		t.Fatal("compression failed")
+		t.Fatal("candidate KL unavailable")
 	}
 	if kl < 0 {
 		t.Errorf("negative KL: %v", kl)
 	}
+	if !f.CompressObject("obj", kl) {
+		t.Fatal("compression failed")
+	}
 	b := f.Belief("obj")
 	if !b.IsCompressed() || b.NumParticles() != 0 {
 		t.Error("belief not in compressed form")
+	}
+	if b.CompressionKL != kl {
+		t.Errorf("CompressionKL = %v, want the policy's %v", b.CompressionKL, kl)
 	}
 	// The estimate survives compression.
 	after, _, ok := f.Estimate("obj")
@@ -219,7 +225,7 @@ func TestCompressAndDecompress(t *testing.T) {
 		t.Errorf("estimate moved during compression: %v -> %v", before, after)
 	}
 	// Compressing twice is a no-op.
-	if _, ok := f.CompressObject("obj"); ok {
+	if f.CompressObject("obj", 0) {
 		t.Error("second compression should report false")
 	}
 	if _, ok := f.CompressionCandidateKL("obj"); ok {
@@ -259,7 +265,7 @@ func TestCompressionCandidateKLDoesNotCompress(t *testing.T) {
 	if _, ok := f.CompressionCandidateKL("unknown"); ok {
 		t.Error("candidate KL for unknown object should fail")
 	}
-	if _, ok := f.CompressObject("unknown"); ok {
+	if f.CompressObject("unknown", 0) {
 		t.Error("compressing an unknown object should fail")
 	}
 }
@@ -279,7 +285,7 @@ func TestHasParticleIn(t *testing.T) {
 		t.Error("unexpected particles far from the true location")
 	}
 	// Also valid on a compressed belief (uses the Gaussian mean).
-	f.CompressObject("obj")
+	f.CompressObject("obj", 0)
 	if !f.Belief("obj").HasParticleIn(near) || f.Belief("obj").HasParticleIn(far) {
 		t.Error("HasParticleIn wrong for compressed belief")
 	}

@@ -198,17 +198,19 @@ func (f *Filter) sampleReaderIndex(src *rng.Source) int {
 	return src.Categorical(f.readerNorm)
 }
 
-// CompressObject compresses an object's belief into a Gaussian (Section
-// IV-D). It returns the KL divergence between the particle distribution and
-// the fitted Gaussian, and false when the object is unknown or already
-// compressed.
-func (f *Filter) CompressObject(id stream.TagID) (float64, bool) {
+// CompressObject compresses an object's belief into its moment-matched
+// Gaussian (Section IV-D) and records kl as the belief's CompressionKL. kl is
+// whatever the compression policy measured when it chose the object (the
+// CompressionCandidateKL of a KL-ranked policy, 0 for a policy that does not
+// rank by KL); compression itself estimates no divergence. It returns false
+// when the object is unknown or already compressed.
+func (f *Filter) CompressObject(id stream.TagID, kl float64) bool {
 	b, ok := f.objects[id]
 	if !ok || b.IsCompressed() || b.NumParticles() == 0 {
-		return 0, false
+		return false
 	}
-	g, kl, buf := b.gaussianWith(f.readerNorm, f.wBuf)
-	f.wBuf = buf
+	f.wBuf = b.weightsInto(f.readerNorm, f.wBuf)
+	g := stats.FitGaussian3(b.locs, f.wBuf)
 	b.Compressed = &g
 	b.CompressionKL = kl
 	b.release()
@@ -221,7 +223,7 @@ func (f *Filter) CompressObject(id stream.TagID) (float64, bool) {
 		b.srcSeeded = true
 		b.src = nil
 	}
-	return kl, true
+	return true
 }
 
 // CompressionCandidateKL returns the KL divergence the object's belief would

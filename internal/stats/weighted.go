@@ -158,12 +158,10 @@ func KLToGaussian(pts []geom.Vec3, w []float64, q Gaussian3) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
-	// Subsample deterministically to bound the O(n^2) kernel evaluation.
+	// Subsample deterministically to bound the O(n^2) kernel evaluation:
+	// the ceiling stride keeps at most maxPoints points.
 	const maxPoints = 200
-	stride := 1
-	if len(pts) > maxPoints {
-		stride = len(pts) / maxPoints
-	}
+	stride := (len(pts) + maxPoints - 1) / maxPoints
 	var sample []geom.Vec3
 	var sw []float64
 	for i := 0; i < len(pts); i += stride {

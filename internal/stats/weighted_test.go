@@ -143,6 +143,30 @@ func TestKLToGaussian(t *testing.T) {
 	}
 }
 
+// TestKLToGaussianSubsampleBound pins the subsample bound: the kernel
+// estimate never looks at more than 200 points, so 399 particles are thinned
+// to every second one, exactly as if the caller had passed that subset.
+func TestKLToGaussianSubsampleBound(t *testing.T) {
+	// A bimodal cloud, so the estimate is well above its clamp at zero.
+	src := rng.New(35)
+	pts := make([]geom.Vec3, 399)
+	for i := range pts {
+		pts[i] = geom.V(float64(2*(i%2))+src.Normal(0, 0.3), src.Normal(0, 0.5), 0)
+	}
+	var everySecond []geom.Vec3
+	for i := 0; i < len(pts); i += 2 {
+		everySecond = append(everySecond, pts[i])
+	}
+	fit := FitGaussian3(pts, nil)
+	want := KLToGaussian(everySecond, nil, fit)
+	if want <= 0 {
+		t.Fatalf("stride-2 subset KL = %v, want > 0", want)
+	}
+	if got := KLToGaussian(pts, nil, fit); got != want {
+		t.Errorf("KL over 399 points = %v, want the stride-2 subset's %v", got, want)
+	}
+}
+
 func TestMeanVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if Mean(xs) != 5 {

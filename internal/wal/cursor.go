@@ -15,7 +15,9 @@ package wal
 // NEWEST segment as "not yet": it stays put and returns io.EOF so the caller
 // retries later. The same signature in a finished (non-newest) segment is the
 // torn tail of a crashed previous life — the writer never appends past a tear,
-// so skipping to the next segment skips only garbage. A missing segment, or a
+// so skipping to the next segment skips only garbage. Because a segment may
+// finish between the cursor's read and its directory scan, the cursor re-reads
+// the frame once after seeing the newer segment and only then skips. A missing segment, or a
 // gap in the sequence, means garbage collection outran this cursor and the
 // follower must re-bootstrap from a checkpoint: ErrSegmentGone.
 
@@ -171,6 +173,18 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 		}
 		if !hasNewer {
 			return nil, io.EOF
+		}
+		// The stall may predate the rotation: the appender can have written
+		// this segment's last frame between our read and the directory scan.
+		// It finishes a segment before creating the next and never touches it
+		// again, so one re-read now sees every byte the segment will hold.
+		payload, err = c.readFrameAt()
+		if err == nil {
+			c.recSeg, c.recOff = c.seg, start
+			return payload, nil
+		}
+		if err != errStall {
+			return nil, err
 		}
 		if next != c.seg+1 {
 			return nil, ErrSegmentGone
