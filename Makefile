@@ -38,13 +38,15 @@ race:
 # and so must the server's streaming-ingest decode path (frame -> SoA batch
 # with reused scratch and interned tags), the epoch-stage trace recorder
 # (timestamps on every epoch of every session) and the latency-histogram
-# record path (on every request). An epoch that compresses k beliefs may
-# allocate only the k compressed Gaussians beyond the same epoch without
-# compression.
+# record path (on every request), and so must a warm sensing-index probe.
+# Restoring the sensing index allocates per region and per distinct tag id,
+# never per (region, tag). An epoch that compresses k beliefs may allocate
+# only the k compressed Gaussians beyond the same epoch without compression.
 alloc-gate:
 	$(GO) test -run 'TestStepObjectsZeroAlloc|TestEpochPrologueAllocBound' -v ./internal/factored
 	$(GO) test -run 'TestShardedEpochAllocsNoWorseThanSerial|TestCompressionEpochAllocBound' -v ./internal/core
 	$(GO) test -run 'TestStreamDecodeZeroAlloc' -v ./internal/serve
+	$(GO) test -run 'TestQueryIntoZeroAlloc|TestSensingIndexRestoreAllocBound' -v ./internal/spatial
 	$(GO) test -run 'TestTraceRecorderZeroAlloc' -v ./internal/trace
 	$(GO) test -run 'TestHistogramObserveZeroAlloc' -v ./internal/metrics
 

@@ -200,18 +200,24 @@ func (d *Decoder) Float64() float64 {
 
 // String reads a length-prefixed string. The length is validated against the
 // remaining payload, so corrupted prefixes cannot trigger huge allocations.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.StringView()) }
+
+// StringView reads a length-prefixed string like String but returns a view
+// of the decoder's buffer instead of a copy, so a caller interning repeated
+// values (map[string(view)] lookups do not allocate) pays for each distinct
+// value once. The view is valid only while the buffer is; copy what is kept.
+func (d *Decoder) StringView() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.Remaining()) {
 		d.fail("string length %d exceeds remaining %d bytes", n, d.Remaining())
-		return ""
+		return nil
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	v := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return v
 }
 
 // Vec3 reads a vector.

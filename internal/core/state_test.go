@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -252,6 +253,71 @@ func TestConfigFingerprint(t *testing.T) {
 		mutate(&mut)
 		if mut.Fingerprint() == base {
 			t.Fatalf("%s change did not alter the fingerprint", name)
+		}
+	}
+}
+
+// TestRestoredCheckpointBytesMatchUninterrupted pins the contract that lets
+// the sensing index bulk-load on restore: nothing an engine writes depends on
+// the R*-tree's shape. A serial and a sharded engine checkpointed mid-trace
+// and restored into fresh engines (whose index trees are packed, not grown)
+// must, at the end of a long trace, write checkpoints byte-identical to the
+// uninterrupted run's.
+func TestRestoredCheckpointBytesMatchUninterrupted(t *testing.T) {
+	simCfg := smallTraceConfig(10, 23)
+	simCfg.Rounds = 4
+	simCfg.MoveInterval = 40
+	trace, err := generateWarehouse(simCfg)
+	if err != nil {
+		t.Fatalf("generate trace: %v", err)
+	}
+	epochs := trace.Epochs
+	if len(epochs) < 300 {
+		t.Fatalf("trace has %d epochs, want >= 300", len(epochs))
+	}
+	cfg := DefaultConfig(defaultTestParams(), trace.World)
+	cfg.NumObjectParticles = 40
+	cfg.NumReaderParticles = 10
+	cfg.ReportDelay = 10
+	cfg.Seed = 9
+
+	for _, kind := range []struct {
+		name            string
+		workers, shards int
+	}{{"serial", 0, 0}, {"sharded", 4, 8}} {
+		ref := newEngineForTest(t, cfg, kind.workers, kind.shards)
+		for _, ep := range epochs {
+			if _, err := ref.ProcessEpoch(ep); err != nil {
+				t.Fatalf("%s reference epoch %d: %v", kind.name, ep.Time, err)
+			}
+		}
+		want := checkpoint.NewEncoder()
+		ref.SaveState(want)
+
+		for _, split := range []int{len(epochs) / 4, len(epochs) / 2, len(epochs) - 20} {
+			a := newEngineForTest(t, cfg, kind.workers, kind.shards)
+			for _, ep := range epochs[:split] {
+				if _, err := a.ProcessEpoch(ep); err != nil {
+					t.Fatalf("%s split %d: epoch %d: %v", kind.name, split, ep.Time, err)
+				}
+			}
+			enc := checkpoint.NewEncoder()
+			a.SaveState(enc)
+			b := newEngineForTest(t, cfg, kind.workers, kind.shards)
+			if err := b.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
+				t.Fatalf("%s split %d: restore: %v", kind.name, split, err)
+			}
+			for _, ep := range epochs[split:] {
+				if _, err := b.ProcessEpoch(ep); err != nil {
+					t.Fatalf("%s split %d: resumed epoch %d: %v", kind.name, split, ep.Time, err)
+				}
+			}
+			got := checkpoint.NewEncoder()
+			b.SaveState(got)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s split %d: final checkpoint differs from the uninterrupted run's (%d vs %d bytes)",
+					kind.name, split, got.Len(), want.Len())
+			}
 		}
 	}
 }

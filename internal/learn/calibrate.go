@@ -178,9 +178,11 @@ func Calibrate(epochs []*stream.Epoch, world *model.World, init model.Params, cf
 type eStepResult struct {
 	// readerPoses[i] is the estimated true reader pose for epochs[i].
 	readerPoses []geom.Pose
-	// objectLocs maps object tags to their estimated locations at the end of
-	// the training trace.
-	objectLocs map[stream.TagID]geom.Vec3
+	// objects and objectLocs are the estimated object tags and their
+	// locations at the end of the training trace, in tracked-object order so
+	// the M-step sees its examples in the same order on every run.
+	objects    []stream.TagID
+	objectLocs []geom.Vec3
 }
 
 // runEStep runs the factored particle filter under the current parameters to
@@ -199,7 +201,6 @@ func runEStep(epochs []*stream.Epoch, world *model.World, params model.Params, c
 	})
 	est := eStepResult{
 		readerPoses: make([]geom.Pose, len(epochs)),
-		objectLocs:  make(map[stream.TagID]geom.Vec3),
 	}
 	for i, ep := range epochs {
 		f.Step(ep, nil)
@@ -207,7 +208,8 @@ func runEStep(epochs []*stream.Epoch, world *model.World, params model.Params, c
 	}
 	for _, id := range f.TrackedObjects() {
 		if loc, _, ok := f.Estimate(id); ok {
-			est.objectLocs[id] = loc
+			est.objects = append(est.objects, id)
+			est.objectLocs = append(est.objectLocs, loc)
 		}
 	}
 	return est
@@ -268,8 +270,8 @@ func buildExamples(epochs []*stream.Epoch, world *model.World, est eStepResult, 
 		for _, sid := range shelfIDs {
 			addExample(pose, world.ShelfTags[sid], ep.Contains(sid), 1.0)
 		}
-		for id, loc := range est.objectLocs {
-			addExample(pose, loc, ep.Contains(id), 0.5)
+		for j, id := range est.objects {
+			addExample(pose, est.objectLocs[j], ep.Contains(id), 0.5)
 		}
 	}
 	return examples

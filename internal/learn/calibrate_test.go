@@ -2,6 +2,7 @@ package learn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -113,6 +114,26 @@ func TestCalibrateLearnsMotionAndSensing(t *testing.T) {
 	// The learned sensing noise respects the configured floor.
 	if res.Params.Sensing.Noise.X < learnCfg.MinSensingNoise-1e-9 {
 		t.Errorf("learned sensing noise %v below the floor", res.Params.Sensing.Noise)
+	}
+}
+
+// TestCalibratesToSameBitsTwice pins that calibration is a pure function of
+// its inputs: the M-step examples are built in tracked-object order, so two
+// runs over one trace fit the same parameters to the last bit.
+func TestCalibratesToSameBitsTwice(t *testing.T) {
+	trace := trainingTrace(t, 10, 17)
+	first, err := Calibrate(trace.Epochs, trace.World, model.DefaultParams(), quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		again, err := Calibrate(trace.Epochs, trace.World, model.DefaultParams(), quickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d calibrated differently:\n%+v\nvs\n%+v", run+1, again, first)
+		}
 	}
 }
 

@@ -61,15 +61,21 @@ func ScoreEstimates(estimates []LocationEstimate, truth TruthLookup, t int) Erro
 // object appears in several events only the last one is scored, matching the
 // location-update query semantics of considering the most recent report.
 func ScoreEvents(events []stream.Event, truth TruthLookup) ErrorReport {
-	latest := make(map[stream.TagID]stream.Event)
+	// Errors are summed in first-appearance order of the tags, so one event
+	// stream always scores to the same bits.
+	latest := make(map[stream.TagID]int)
+	var order []stream.Event
 	for _, ev := range events {
-		cur, ok := latest[ev.Tag]
-		if !ok || ev.Time >= cur.Time {
-			latest[ev.Tag] = ev
+		i, ok := latest[ev.Tag]
+		if !ok {
+			latest[ev.Tag] = len(order)
+			order = append(order, ev)
+		} else if ev.Time >= order[i].Time {
+			order[i] = ev
 		}
 	}
 	var rep ErrorReport
-	for _, ev := range latest {
+	for _, ev := range order {
 		trueLoc, ok := truth(ev.Tag, ev.Time)
 		if !ok {
 			rep.Missing++

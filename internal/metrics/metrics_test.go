@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -63,6 +64,34 @@ func TestScoreEventsEmptyAndMissing(t *testing.T) {
 	rep = ScoreEvents([]stream.Event{{Tag: "x", Loc: geom.V(1, 1, 0)}}, fixedTruth(nil))
 	if rep.Missing != 1 || rep.Count != 0 {
 		t.Errorf("missing truth mishandled: %+v", rep)
+	}
+}
+
+// TestScoreEventsSameBits pins that scoring one event stream is a pure
+// function of it: errors are summed in first-appearance order, not map
+// order, so the mean is identical to the last bit on every call.
+func TestScoreEventsSameBits(t *testing.T) {
+	truthLocs := map[stream.TagID]geom.Vec3{}
+	var events []stream.Event
+	for i := 0; i < 200; i++ {
+		tag := stream.TagID(fmt.Sprintf("obj-%03d", i))
+		truthLocs[tag] = geom.V(float64(i)*0.37, float64(i%7)*1.13, 0)
+		events = append(events, stream.Event{
+			Time: i,
+			Tag:  tag,
+			Loc:  geom.V(float64(i)*0.37+0.1/float64(i+1), float64(i%7)*1.13+math.Sqrt(float64(i)), 0.3),
+		})
+	}
+	truth := fixedTruth(truthLocs)
+	want := ScoreEvents(events, truth)
+	for call := 0; call < 50; call++ {
+		got := ScoreEvents(events, truth)
+		if math.Float64bits(got.MeanXY) != math.Float64bits(want.MeanXY) ||
+			math.Float64bits(got.Mean3D) != math.Float64bits(want.Mean3D) ||
+			math.Float64bits(got.MeanX) != math.Float64bits(want.MeanX) ||
+			math.Float64bits(got.MeanY) != math.Float64bits(want.MeanY) {
+			t.Fatalf("call %d scored %+v, first call %+v", call, got, want)
+		}
 	}
 }
 

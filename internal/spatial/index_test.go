@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -87,6 +88,32 @@ func TestSensingIndexQueryBoxes(t *testing.T) {
 	boxes := idx.QueryBoxes(geom.BBoxAround(geom.V(1, 1, 0), 0.5))
 	if len(boxes) != 1 || boxes[0] != b {
 		t.Errorf("QueryBoxes = %v", boxes)
+	}
+}
+
+// TestQueryIntoZeroAlloc pins that a warm probe (the engine's per-epoch
+// Case-2 lookup) allocates nothing: the region bitmap, the de-duplication map
+// and the caller's buffer are all reused.
+func TestQueryIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	idx := NewSensingIndex()
+	for i := 0; i < 300; i++ {
+		idx.Insert(geom.BBoxAround(geom.V(0, float64(i)*0.05, 0), 2), []stream.TagID{
+			stream.TagID(fmt.Sprintf("obj-%d", i%37)), stream.TagID(fmt.Sprintf("obj-%d", (i*7)%37)),
+		})
+	}
+	probe := geom.BBoxAround(geom.V(0, 7, 0), 3)
+	buf := idx.QueryInto(probe, nil)
+	if len(buf) == 0 {
+		t.Fatal("probe matched nothing")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = idx.QueryInto(probe, buf[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("warm QueryInto allocated %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -61,6 +61,47 @@ func (t *RTree) Insert(box geom.BBox, id int) {
 	t.adjustTree(leaf)
 }
 
+// Load replaces the tree's contents with boxes, giving boxes[i] the payload
+// i, and packs the tree bottom-up in one pass instead of replaying one Insert
+// per box. Consecutive boxes share a node, so boxes given in a spatially
+// coherent order (a reader's sweep, one sensing region per epoch) pack into
+// tight nodes without any sorting. Empty boxes are skipped, as by Insert.
+// Every node but the root holds between minEntries and maxEntries entries,
+// inner entry boxes are the union of their child's entries and leaf depth is
+// uniform, so later Insert calls work on a loaded tree as on a grown one.
+func (t *RTree) Load(boxes []geom.BBox) {
+	entries := make([]rtreeEntry, 0, len(boxes))
+	for i, b := range boxes {
+		if !b.IsEmpty() {
+			entries = append(entries, rtreeEntry{box: b, id: i})
+		}
+	}
+	t.size = len(entries)
+	leaf := true
+	for len(entries) > t.maxEntries {
+		entries = t.packLevel(entries, leaf)
+		leaf = false
+	}
+	t.root = &rtreeNode{leaf: leaf, entries: entries}
+}
+
+// packLevel cuts one level's entries, in order, into runs of near-equal
+// length and returns the parent entries pointing at the new nodes. Each
+// node's entries alias the level's array with their capacity capped, so a
+// later Insert appending to a node reallocates instead of overwriting its
+// neighbour.
+func (t *RTree) packLevel(entries []rtreeEntry, leaf bool) []rtreeEntry {
+	runs := (len(entries) + t.maxEntries - 1) / t.maxEntries
+	nodes := make([]rtreeNode, runs)
+	parents := make([]rtreeEntry, runs)
+	for r := range nodes {
+		lo, hi := r*len(entries)/runs, (r+1)*len(entries)/runs
+		nodes[r] = rtreeNode{leaf: leaf, entries: entries[lo:hi:hi]}
+		parents[r] = rtreeEntry{box: nodeBBox(&nodes[r]), child: &nodes[r]}
+	}
+	return parents
+}
+
 // Search returns the payloads of all entries whose boxes intersect the query
 // box.
 func (t *RTree) Search(box geom.BBox) []int {
@@ -91,6 +132,22 @@ func (t *RTree) SearchFunc(box geom.BBox, fn func(id int)) {
 		}
 	}
 	walk(t.root)
+}
+
+// markHits sets bit id of hits for every payload id whose box intersects the
+// query box; hits must hold a bit for every stored id.
+func (t *RTree) markHits(n *rtreeNode, box geom.BBox, hits []uint64) {
+	for i := range n.entries {
+		e := &n.entries[i]
+		if !e.box.Intersects(box) {
+			continue
+		}
+		if n.leaf {
+			hits[e.id>>6] |= 1 << (uint(e.id) & 63)
+		} else {
+			t.markHits(e.child, box, hits)
+		}
+	}
 }
 
 func (t *RTree) search(n *rtreeNode, box geom.BBox, out *[]int) {
