@@ -42,6 +42,8 @@ race:
 # Restoring the sensing index allocates per region and per distinct tag id,
 # never per (region, tag). An epoch that compresses k beliefs may allocate
 # only the k compressed Gaussians beyond the same epoch without compression.
+# Restoring a random stream (once per tracked object on every hydration)
+# allocates a few small objects, never a generator table.
 alloc-gate:
 	$(GO) test -run 'TestStepObjectsZeroAlloc|TestEpochPrologueAllocBound' -v ./internal/factored
 	$(GO) test -run 'TestShardedEpochAllocsNoWorseThanSerial|TestCompressionEpochAllocBound' -v ./internal/core
@@ -49,6 +51,7 @@ alloc-gate:
 	$(GO) test -run 'TestQueryIntoZeroAlloc|TestSensingIndexRestoreAllocBound' -v ./internal/spatial
 	$(GO) test -run 'TestTraceRecorderZeroAlloc' -v ./internal/trace
 	$(GO) test -run 'TestHistogramObserveZeroAlloc' -v ./internal/metrics
+	$(GO) test -run 'TestNewAtAllocBound' -v ./internal/rng
 
 # The benchmark harness is a module of its own, so `go test ./...` at the
 # root never enters it: its input-determinism, metric-set and result-check

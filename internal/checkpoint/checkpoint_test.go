@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
+	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -221,5 +224,72 @@ func TestWriteFileAtomic(t *testing.T) {
 	// A missing directory fails loudly instead of writing somewhere else.
 	if err := WriteFileAtomic(filepath.Join(dir, "nope"), "m.json", []byte("x")); err == nil {
 		t.Fatal("write into missing dir succeeded")
+	}
+}
+
+// encodeAs is Encode with an arbitrary version number in the header, for
+// files written by other builds.
+func encodeAs(version uint64, s Snapshot) []byte {
+	e := NewEncoder()
+	e.buf = append(e.buf, Magic...)
+	e.Uvarint(version)
+	e.Uvarint(s.Fingerprint)
+	e.Varint(int64(s.Epoch))
+	e.Uvarint(s.WALSegment)
+	e.Uvarint(uint64(len(s.Payload)))
+	e.buf = append(e.buf, s.Payload...)
+	e.Uvarint(uint64(crc32.Checksum(e.buf, crcTable)))
+	return e.Bytes()
+}
+
+// TestOlderVersionRefused pins that an intact version-1 checkpoint — whose
+// (seed, pos) stream records name math/rand streams this build no longer
+// generates — is refused loudly, naming both versions, and that Latest
+// neither skips it for an older file nor reports an empty directory (which
+// would replay the log into a freshly seeded engine).
+func TestOlderVersionRefused(t *testing.T) {
+	if Version != 2 {
+		t.Fatalf("Version = %d, want 2", Version)
+	}
+	if !bytes.Equal(encodeAs(Version, Snapshot{Epoch: 4, Payload: []byte("p")}),
+		Encode(Snapshot{Version: Version, Epoch: 4, Payload: []byte("p")})) {
+		t.Fatal("encodeAs does not reproduce Encode's layout")
+	}
+	old := encodeAs(1, Snapshot{Fingerprint: 9, Epoch: 5, Payload: []byte("v1-state")})
+	_, err := Decode(old)
+	var verr *VersionError
+	if !errors.As(err, &verr) || verr.Got != 1 || verr.Want != 2 {
+		t.Fatalf("Decode(v1) = %v, want a VersionError 1 -> 2", err)
+	}
+	for _, want := range []string{"unsupported version 1", "want 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+
+	dir := t.TempDir()
+	if _, err := Write(dir, Snapshot{Version: Version, Epoch: 3, Payload: []byte{3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, FileName(8)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := Latest(dir); !errors.As(err, &verr) || ok {
+		t.Fatalf("Latest over a v1 newest file: ok=%v err=%v, want a VersionError", ok, err)
+	}
+	only := t.TempDir()
+	if err := os.WriteFile(filepath.Join(only, FileName(8)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := Latest(only); !errors.As(err, &verr) || ok {
+		t.Fatalf("Latest over a v1-only dir: ok=%v err=%v, want a VersionError", ok, err)
+	}
+
+	// A damaged version field is corruption, not another version: the
+	// checksum catches it and Latest falls back as for any torn file.
+	flipped := Encode(Snapshot{Version: Version, Epoch: 1})
+	flipped[len(Magic)] = 1
+	if _, err := Decode(flipped); err == nil || errors.As(err, &verr) {
+		t.Fatalf("Decode(version byte flipped) = %v, want a checksum error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -16,7 +17,23 @@ const Magic = "RFCKPT01"
 // Version is the current checkpoint payload version. Decoders accept only
 // versions they know; bumping it invalidates older files explicitly instead
 // of misreading them.
-const Version = 1
+//
+// Version 2: the engine's random streams are counter-based, so the (seed,
+// pos) pairs in the payload name different streams than in version 1 and a
+// version-1 payload cannot be resumed.
+const Version = 2
+
+// VersionError reports an intact checkpoint written under a payload version
+// this build does not read. Unlike a torn or corrupt file, Latest never skips
+// it: falling back to an older checkpoint (or to none, replaying the log into
+// a fresh engine) would silently recover different state.
+type VersionError struct {
+	Got, Want uint64
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("checkpoint: unsupported version %d (want %d)", e.Got, e.Want)
+}
 
 // Snapshot is one durable checkpoint: the opaque engine payload plus the
 // header metadata recovery needs before decoding a single payload byte.
@@ -62,7 +79,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Decode parses and validates the on-disk format. It never panics on
 // arbitrary input: truncation, bad magic, unknown versions and checksum
 // mismatches all surface as errors (the FuzzCheckpointDecode target pins
-// this).
+// this). The frame layout is fixed by Magic, so the checksum is verified
+// before the version: an intact file of another version yields a
+// *VersionError, a damaged one a checksum error.
 func Decode(data []byte) (Snapshot, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return Snapshot{}, fmt.Errorf("checkpoint: bad magic (not a checkpoint file)")
@@ -71,9 +90,6 @@ func Decode(data []byte) (Snapshot, error) {
 	d.off = len(Magic)
 	var s Snapshot
 	s.Version = d.Uvarint()
-	if d.Err() == nil && s.Version != Version {
-		return Snapshot{}, fmt.Errorf("checkpoint: unsupported version %d (want %d)", s.Version, Version)
-	}
 	s.Fingerprint = d.Uvarint()
 	s.Epoch = int(d.Varint())
 	s.WALSegment = d.Uvarint()
@@ -90,6 +106,9 @@ func Decode(data []byte) (Snapshot, error) {
 	}
 	if got := uint64(crc32.Checksum(data[:crcEnd], crcTable)); got != want {
 		return Snapshot{}, fmt.Errorf("checkpoint: crc mismatch (file %#x, computed %#x)", want, got)
+	}
+	if s.Version != Version {
+		return Snapshot{}, &VersionError{Got: s.Version, Want: Version}
 	}
 	return s, nil
 }
@@ -215,7 +234,8 @@ func List(dir string) ([]string, error) {
 // Latest loads the newest valid checkpoint in dir, skipping files that fail
 // to decode (a torn or corrupted newest file falls back to its predecessor —
 // exactly the behaviour crash recovery needs). ok is false when the directory
-// holds no valid checkpoint at all.
+// holds no valid checkpoint at all. An intact checkpoint of another version
+// is an error, never skipped (see VersionError).
 func Latest(dir string) (path string, s Snapshot, ok bool, err error) {
 	files, err := List(dir)
 	if err != nil {
@@ -226,6 +246,10 @@ func Latest(dir string) (path string, s Snapshot, ok bool, err error) {
 	}
 	for i := len(files) - 1; i >= 0; i-- {
 		snap, err := Load(files[i])
+		var verr *VersionError
+		if errors.As(err, &verr) {
+			return "", Snapshot{}, false, fmt.Errorf("%s: %w", files[i], err)
+		}
 		if err != nil {
 			continue // corrupt or torn; try the previous one
 		}

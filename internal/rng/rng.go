@@ -2,82 +2,148 @@
 // RFID inference system. All stochastic components (simulation, particle
 // proposal, resampling, EM restarts) draw from an rng.Source seeded
 // explicitly so that experiments and tests are reproducible.
+//
+// # Random streams
+//
+// A Source is backed by one of two generators:
+//
+//   - New, NewAt and Derive return counter-based streams (SplitMix64). The
+//     n-th draw (n = 1, 2, …) of the stream for seed s is
+//     mix64(key(s) + n·γ(s) mod 2^64) — a pure function of (s, n) — so the
+//     pair (Seed, Pos) is the whole generator state and NewAt resumes any
+//     position in O(1). The inference engine's
+//     streams (the factored filter, every per-object belief, the baseline
+//     particle filter) are of this kind because checkpoints record exactly
+//     (seed, pos) and hydration restores thousands of them.
+//   - NewMathRand returns math/rand's additive lagged-Fibonacci generator,
+//     which has no cheap seek and therefore no NewAt. The simulator and the
+//     SMURF baseline use it so that traces and baseline numbers never change.
+//
+// Stream overlap. key(s) is mix64(s) and the increment γ(s) is derived from
+// s by a second, different mix and forced odd, so each stream's inputs
+// key + n·γ visit all 2^64 values before repeating: no stream cycles within
+// 2^64 draws. Two streams with different increments can meet only in
+// isolated points — if their inputs coincide at draws (n, m), the next inputs
+// differ by γa − γb ≠ 0 — so the chance that any of L draws of one equals any
+// of L draws of the other is at most L²/2^64 (2^-16 for L = 2^24 draws), and
+// such a coincidence is a single repeated value, not a shared run. Only
+// streams with equal increments are shifted copies of each other, and that
+// happens with probability about 2^-62 per pair of seeds.
 package rng
 
 import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/geom"
 )
 
-// countingSource wraps a rand.Source64 and counts the low-level draws it
-// serves. Every Source method ultimately pulls values through this single
-// choke point, so the pair (seed, draw count) fully determines a stream's
-// position: the durability layer checkpoints exactly those two numbers and
-// NewAt replays the count to restore the stream bit-exactly.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
+// goldenGamma is SplitMix64's default increment, 2^64/φ rounded to odd.
+const goldenGamma = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's output finalizer (Stafford's variant 13): a
+// bijection on 64-bit words with full avalanche.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// mixGamma derives a stream increment from z with MurmurHash3's finalizer,
+// a different mix than mix64's. The increment is odd, so the counter walks
+// all 2^64 inputs, and has at least 24 bit transitions: a sparse increment
+// makes consecutive inputs differ in few bits, which the finalizer mixes
+// less well (the same rule as Java's SplittableRandom).
+func mixGamma(z uint64) uint64 {
+	z = (z ^ (z >> 33)) * 0xff51afd7ed558ccd
+	z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53
+	z = (z ^ (z >> 33)) | 1
+	if bits.OnesCount64(z^(z>>1)) < 24 {
+		z ^= 0xaaaaaaaaaaaaaaaa
+	}
+	return z
+}
+
+// counter is the counter-based generator behind New and NewAt. state is
+// key + n·gamma, where n is the number of draws served so far.
+type counter struct {
+	state, gamma, n uint64
+}
+
+// seek positions c at draw pos of the stream for seed.
+func (c *counter) seek(seed int64, pos uint64) {
+	s := uint64(seed)
+	c.gamma = mixGamma(s + goldenGamma)
+	c.state = mix64(s) + pos*c.gamma
+	c.n = pos
+}
+
+// Uint64 implements rand.Source64.
+func (c *counter) Uint64() uint64 {
+	c.n++
+	c.state += c.gamma
+	return mix64(c.state)
 }
 
 // Int63 implements rand.Source.
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
-
-// Uint64 implements rand.Source64.
-func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
+func (c *counter) Int63() int64 { return int64(c.Uint64() >> 1) }
 
 // Seed implements rand.Source.
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
+func (c *counter) Seed(seed int64) { c.seek(seed, 0) }
 
 // Source is a seeded pseudo-random source with the sampling helpers the
 // inference engine needs. It is not safe for concurrent use; create one per
 // goroutine.
 type Source struct {
 	r    *rand.Rand
-	cs   *countingSource
+	ctr  counter // the generator behind r, unless mathRand
 	seed int64
+	// mathRand marks a NewMathRand stream, which has no position.
+	mathRand bool
 }
 
-// New returns a Source seeded with seed.
-func New(seed int64) *Source {
-	cs := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Source{r: rand.New(cs), cs: cs, seed: seed}
-}
+// New returns a counter-based Source seeded with seed.
+func New(seed int64) *Source { return NewAt(seed, 0) }
 
-// NewAt returns a Source seeded with seed and fast-forwarded to the given
-// stream position (the Pos() of the source being restored). The replay is
-// O(pos) but each skipped draw costs only a generator step, so restoring even
-// multi-million-draw streams takes milliseconds; recovery pays this once.
+// NewAt returns a counter-based Source positioned at draw pos of the stream
+// for seed (the Pos() of the source being restored). The seek is O(1): it
+// sets the counter, it replays nothing.
 func NewAt(seed int64, pos uint64) *Source {
-	s := New(seed)
-	for i := uint64(0); i < pos; i++ {
-		s.cs.src.Uint64()
-	}
-	s.cs.n = pos
+	s := &Source{seed: seed}
+	s.ctr.seek(seed, pos)
+	s.r = rand.New(&s.ctr)
 	return s
+}
+
+// NewMathRand returns a Source backed by math/rand's generator: its draws
+// equal rand.New(rand.NewSource(seed))'s, bit for bit. The simulator and the
+// SMURF baseline use it so that traces and baseline numbers never change.
+// Its stream has no cheap seek, so it has no position (see Pos) and no
+// NewAt counterpart; use New for any stream a checkpoint must record.
+func NewMathRand(seed int64) *Source {
+	return &Source{r: rand.New(rand.NewSource(seed)), seed: seed, mathRand: true}
 }
 
 // Seed returns the seed the source was created with.
 func (s *Source) Seed() int64 { return s.seed }
 
 // Pos returns the number of low-level draws consumed so far. Together with
-// Seed it pins the stream's exact position: NewAt(Seed(), Pos()) produces a
-// source whose future draws are identical to this one's.
-func (s *Source) Pos() uint64 { return s.cs.n }
-
-// Fork returns a new independent Source derived from the current stream.
-// Forked sources let sub-components (e.g. per-object particle sets) evolve
-// deterministically regardless of the processing order of their siblings.
-func (s *Source) Fork() *Source {
-	return New(s.r.Int63())
+// Seed it is the stream's whole state: NewAt(Seed(), Pos()) produces a
+// source whose future draws are identical to this one's. It panics on a
+// NewMathRand source, which does not track a position.
+func (s *Source) Pos() uint64 {
+	if s.mathRand {
+		panic("rng: Pos on a NewMathRand source, which has no resumable position")
+	}
+	return s.ctr.n
 }
 
 // SeedFor derives a child seed from a base seed and a string key by hashing
-// both with FNV-1a. Unlike Fork, the derivation does not consume any state
-// from an existing stream, so the resulting seed depends only on (seed, key):
+// both with FNV-1a. The derivation consumes no state from an existing
+// stream, so the resulting seed depends only on (seed, key):
 // components keyed by a stable identifier (e.g. a tag id) receive the same
 // stream no matter how many siblings exist or in which order they are
 // created. This is what makes sharded inference results independent of the
@@ -238,11 +304,6 @@ func (s *Source) SystematicInto(dst []int, weights []float64, n int) []int {
 		out = append(out, idx)
 	}
 	return out
-}
-
-// Shuffle randomly permutes the integers [0, n) and returns them.
-func (s *Source) Shuffle(n int) []int {
-	return s.r.Perm(n)
 }
 
 // Perm permutes a copy of the provided slice of indices.

@@ -14,13 +14,12 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal("two sources with the same seed diverged")
 		}
 	}
-	c := New(43)
+	c, d := New(42), New(43)
 	same := true
 	for i := 0; i < 10; i++ {
-		if New(42).Fork().Float64() == c.Float64() {
-			continue
+		if c.Float64() != d.Float64() {
+			same = false
 		}
-		same = false
 	}
 	if same {
 		t.Error("different seeds produced identical streams")
@@ -181,26 +180,27 @@ func TestSystematicDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestShuffleAndPerm(t *testing.T) {
+func TestPerm(t *testing.T) {
 	s := New(23)
-	p := s.Shuffle(10)
-	if len(p) != 10 {
-		t.Fatalf("Shuffle(10) returned %d elements", len(p))
-	}
-	seen := make(map[int]bool)
-	for _, v := range p {
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Error("Shuffle is not a permutation")
-	}
-	orig := []int{5, 6, 7}
+	orig := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	perm := s.Perm(orig)
-	if len(perm) != 3 {
+	if len(perm) != len(orig) {
 		t.Fatal("Perm changed length")
 	}
 	if &perm[0] == &orig[0] {
 		t.Error("Perm must not alias its input")
+	}
+	seen := make(map[int]bool)
+	for _, v := range perm {
+		seen[v] = true
+	}
+	if len(seen) != len(orig) {
+		t.Error("Perm is not a permutation")
+	}
+	for i, v := range orig {
+		if v != i {
+			t.Fatal("Perm modified its input")
+		}
 	}
 }
 
@@ -220,8 +220,8 @@ func TestSeedForDerivation(t *testing.T) {
 }
 
 func TestDeriveIndependentOfSiblings(t *testing.T) {
-	// Unlike Fork, Derive consumes no stream state: deriving b after a (or
-	// not deriving a at all) yields the same stream for b.
+	// Derive consumes no stream state: deriving b after a (or not deriving a
+	// at all) yields the same stream for b.
 	b1 := Derive(7, "b")
 	_ = Derive(7, "a")
 	b2 := Derive(7, "b")

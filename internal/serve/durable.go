@@ -123,9 +123,9 @@ func (s *session) recoverLocked() error {
 		return fmt.Errorf("scan checkpoints: %w", err)
 	}
 	if ok {
-		if snap.Fingerprint != r.Fingerprint() {
+		if fp := s.fingerprint(r); snap.Fingerprint != fp {
 			return fmt.Errorf("checkpoint %s was produced under a different engine configuration (fingerprint %#x, running %#x)",
-				path, snap.Fingerprint, r.Fingerprint())
+				path, snap.Fingerprint, fp)
 		}
 		dec := checkpoint.NewDecoder(snap.Payload)
 		if err := r.RestoreState(dec); err != nil {
@@ -356,7 +356,7 @@ func (s *session) writeCheckpoint() error {
 	}
 	snap := checkpoint.Snapshot{
 		Version:     checkpoint.Version,
-		Fingerprint: r.Fingerprint(),
+		Fingerprint: s.fingerprint(r),
 		Epoch:       epoch,
 		WALSegment:  seg,
 		Payload:     enc.Bytes(),

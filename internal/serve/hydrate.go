@@ -234,7 +234,7 @@ func (s *session) handleEvictOp() opResult {
 	// State flips before the pointers drop so a concurrent reader that loads
 	// a non-nil engine is always reading consistent pre-evict state.
 	s.state.Store(int32(stateEvicted))
-	s.eng.Store(nil)
+	s.setRunner(nil)
 	s.reg.Store(nil)
 	s.res.noteEvicted(s)
 	return opResult{}
@@ -252,7 +252,7 @@ func (s *session) hydrate() error {
 		s.observeRunner(runner)
 		reg := query.NewRegistry(s.cfg.MaxBufferedResults)
 		reg.SetHistorySource(runner)
-		s.eng.Store(runner)
+		s.setRunner(runner)
 		s.reg.Store(reg)
 		err = s.recoverLocked()
 	}

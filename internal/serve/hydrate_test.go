@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/trace"
 	"repro/rfid/api"
 	"repro/rfid/wire"
 )
@@ -265,4 +269,112 @@ func TestStreamResumeSurvivesEviction(t *testing.T) {
 	// And the stream keeps working from there.
 	rs2.sendBatch(4, wire.APIBatch{Readings: []api.Reading{{Time: 3, Tag: "sr-obj"}}})
 	rs2.expectAck(4)
+}
+
+// ingestChurnEpochs ingests one reading per epoch in [from, to) into a churn
+// session and flushes, so every epoch is processed when it returns.
+func ingestChurnEpochs(t *testing.T, url, sid string, from, to int) {
+	t.Helper()
+	for ep := from; ep < to; ep++ {
+		req := api.IngestRequest{Readings: []api.Reading{{Time: ep, Tag: sid + "-obj"}}}
+		if code := postJSON(t, url+"/v1/sessions/"+sid+"/ingest", req, nil); code != http.StatusAccepted {
+			t.Fatalf("ingest %s epoch %d: status %d", sid, ep, code)
+		}
+	}
+	if code := postJSON(t, url+"/v1/sessions/"+sid+"/flush", map[string]any{}, nil); code != http.StatusOK {
+		t.Fatalf("flush %s: status %d", sid, code)
+	}
+}
+
+// TestHydrateRefusesOtherEngineConfig pins the fingerprint gate on the
+// hydration path: a session evicted under one engine configuration and
+// hydrated under another (here its manifest asks for more particles after a
+// restart) fails loudly instead of restoring particle state into an engine
+// it does not fit.
+func TestHydrateRefusesOtherEngineConfig(t *testing.T) {
+	dataDir := t.TempDir()
+	sv, ts := startDensityServer(t, dataDir, 2, 1)
+	for i := 0; i < 2; i++ {
+		createChurnSession(t, ts.URL, i)
+		ingestChurnEpochs(t, ts.URL, churnSessionID(i), 0, 4)
+	}
+	sid := churnSessionID(1)
+	forceEvict(t, sv, sid)
+	ts.Close()
+	sv.Close()
+
+	path := filepath.Join(dataDir, "sessions", sid, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req api.CreateSessionRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Engine.ObjectParticles++
+	if data, err = json.Marshal(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// With one resident slot, boot restores c0 eagerly and c1 lazily, so the
+	// first touch of c1 is a hydration.
+	sv2, ts2 := startDensityServer(t, dataDir, 2, 1)
+	defer func() { ts2.Close(); sv2.Close() }()
+	s, ok := sv2.session(sid)
+	if !ok {
+		t.Fatalf("session %s not restored", sid)
+	}
+	if st := serverState(s.state.Load()); st != stateEvicted {
+		t.Fatalf("session %s booted in state %v, want evicted", sid, st)
+	}
+	if code := getJSON(t, ts2.URL+"/v1/sessions/"+sid+"/snapshot", nil); code == http.StatusOK {
+		t.Fatal("snapshot served after hydrating under a different engine configuration")
+	}
+	if err := s.failure(); err == nil || !strings.Contains(err.Error(), "different engine configuration") {
+		t.Fatalf("hydration error = %v, want the different-engine-configuration refusal", err)
+	}
+}
+
+// TestStageCountersSumResidencies pins rfidserve_epoch_stage_seconds_total
+// across evict→hydrate cycles: every residency's runner counts its stages
+// from zero, and the exported counter is the sum over all residencies — not
+// the largest one.
+func TestStageCountersSumResidencies(t *testing.T) {
+	sv, ts := startDensityServer(t, t.TempDir(), 2, 0, func(c *Config) { c.TraceEpochs = 16 })
+	defer func() { ts.Close(); sv.Close() }()
+	createChurnSession(t, ts.URL, 0)
+	sid := churnSessionID(0)
+	s, _ := sv.session(sid)
+
+	const residencies = 4
+	var want [trace.NumStages]time.Duration
+	for k := 0; k < residencies; k++ {
+		ingestChurnEpochs(t, ts.URL, sid, 5*k, 5*k+5)
+		cum := s.engine().TraceRecorder().CumulativeStages()
+		if cum[trace.StageStep] <= 0 {
+			t.Fatalf("residency %d traced no step time", k)
+		}
+		for st := range want {
+			want[st] += cum[st]
+		}
+		getRaw(t, ts.URL+"/metrics") // a scrape mid-run must not pin the counters
+		forceEvict(t, sv, sid)
+	}
+
+	var m map[string]float64
+	getJSON(t, ts.URL+"/metrics?format=json", &m)
+	for st := trace.Stage(0); st < trace.NumStages; st++ {
+		key := fmt.Sprintf(`rfidserve_epoch_stage_seconds_total{stage=%q,session=%q}`, st.String(), sid)
+		got, ok := m[key]
+		if !ok {
+			t.Fatalf("%s missing from /metrics", key)
+		}
+		if math.Abs(got-want[st].Seconds()) > 1e-9 {
+			t.Errorf("%s = %v, want the sum over %d residencies %v", key, got, residencies, want[st].Seconds())
+		}
+	}
 }

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -453,5 +455,73 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("gap error does not name the missing segments: %v", err)
+	}
+}
+
+// rewriteCheckpointVersion re-stamps a checkpoint file with another payload
+// version, fixing up the trailing checksum, so it reads as an intact file
+// written by a build of that version.
+func rewriteCheckpointVersion(t *testing.T, path string, version byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := crc32.MakeTable(crc32.Castagnoli)
+	for n := 1; n <= binary.MaxVarintLen32 && n < len(data); n++ {
+		body := data[:len(data)-n]
+		crc, m := binary.Uvarint(data[len(body):])
+		if m != n || crc != uint64(crc32.Checksum(body, table)) {
+			continue
+		}
+		out := append([]byte(nil), body...)
+		out[len(checkpoint.Magic)] = version // versions below 128 are one varint byte
+		out = binary.AppendUvarint(out, uint64(crc32.Checksum(out, table)))
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("%s: no valid checksum trailer", path)
+}
+
+// TestRecoveryRefusesOlderCheckpointVersion pins the upgrade contract: a
+// version-1 checkpoint records its random streams as (seed, pos) pairs of
+// streams this build no longer generates, so recovery must refuse it loudly,
+// naming both versions — never skip it and replay the log tail into a freshly
+// seeded engine.
+func TestRecoveryRefusesOlderCheckpointVersion(t *testing.T) {
+	trace, rByT, lByT, _ := recoveryTrace(t)
+	dataDir := t.TempDir()
+	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	ingestEpochs(t, tsA.URL, rByT, lByT, 0, 10)
+	tsA.Close()
+	srvA.Close() // graceful: writes a checkpoint
+
+	ckpts, err := checkpoint.List(dataDir)
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("want checkpoints, got %v (err %v)", ckpts, err)
+	}
+	for _, p := range ckpts {
+		rewriteCheckpointVersion(t, p, 1)
+	}
+
+	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{Sharded: true, HistoryEpochs: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvB, err := New(Config{Runner: runner, DataDir: dataDir, CheckpointEvery: 7, Fsync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = srvB.WaitReady(ctx)
+	if err == nil {
+		t.Fatal("recovery over a version-1 checkpoint succeeded")
+	}
+	if !strings.Contains(err.Error(), "unsupported version 1 (want 2)") {
+		t.Fatalf("recovery error does not name both versions: %v", err)
 	}
 }

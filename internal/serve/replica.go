@@ -185,7 +185,7 @@ func (s *session) replicaCheckpoint(epoch int, seg uint64) error {
 	enc.Uvarint(s.lastStreamSeq.Load())
 	snap := checkpoint.Snapshot{
 		Version:     checkpoint.Version,
-		Fingerprint: r.Fingerprint(),
+		Fingerprint: s.fingerprint(r),
 		Epoch:       epoch,
 		WALSegment:  seg,
 		Payload:     enc.Bytes(),
@@ -268,7 +268,7 @@ func (s *session) handleReplBootstrap(ro *replOp) opResult {
 	s.observeRunner(runner)
 	reg := query.NewRegistry(s.cfg.MaxBufferedResults)
 	reg.SetHistorySource(runner)
-	s.eng.Store(runner)
+	s.setRunner(runner)
 	s.reg.Store(reg)
 	// Replica-local history queries evaluated against the old engine are gone
 	// with it.

@@ -37,8 +37,9 @@ var matrixSessions = []struct {
 }
 
 // startDensityServer boots a durable server with a tiny default engine and
-// the given scheduler pool size / resident cap.
-func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident int) (*Server, *httptest.Server) {
+// the given scheduler pool size / resident cap; opts adjust the server
+// Config before it starts.
+func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident int, opts ...func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	world := rfid.NewWorld()
 	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 20, Y: 20, Z: 6})})
@@ -51,7 +52,7 @@ func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident 
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	srv, err := New(Config{
+	scfg := Config{
 		Runner:          runner,
 		IngestWait:      10 * time.Second,
 		DataDir:         dataDir,
@@ -60,7 +61,11 @@ func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident 
 		MaxSessions:     4096,
 		SchedWorkers:    schedWorkers,
 		MaxResident:     maxResident,
-	})
+	}
+	for _, opt := range opts {
+		opt(&scfg)
+	}
+	srv, err := New(scfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -233,16 +233,50 @@ type session struct {
 	ckptHist     *metrics.Histogram
 	epochHist    *metrics.Histogram
 
-	// stageCum mirrors the trace recorder's cumulative per-stage totals into
-	// Prometheus counters at scrape time (RaiseTo keeps them monotone across
-	// evict/hydrate cycles, where the recorder restarts from zero).
-	stageCum [trace.NumStages]*metrics.FloatCounter
+	// stageCum mirrors the per-stage epoch-processing totals into Prometheus
+	// counters at scrape time. A runner's trace recorder counts from zero, and
+	// the session builds a new runner on every hydration and replica
+	// re-bootstrap, so stageBase accumulates the totals of every runner the
+	// session has retired and the counters mirror stageBase plus the resident
+	// runner's totals. stageMu orders a retirement against scrapes: no scrape
+	// sees one runner's totals both folded and live.
+	stageMu   sync.Mutex
+	stageBase [trace.NumStages]time.Duration
+	stageCum  [trace.NumStages]*metrics.FloatCounter
+
+	// fp caches the fingerprint of the session's engine configuration. Every
+	// runner the session builds comes from the same manifest (or flags), so
+	// the hash over params, world, shelves and tags runs once, not on every
+	// checkpoint and hydration.
+	fpOnce sync.Once
+	fp     uint64
 }
 
 // series suffixes a metric name with the session's label so every session
 // owns its own Prometheus series while sharing the server's Set. The default
 // session uses bare names, preserving the pre-session metric surface.
 func (s *session) series(name string) string { return name + s.label }
+
+// setRunner makes r the resident runner (nil evicts), first folding the
+// outgoing runner's per-stage totals into stageBase. Pinned worker only.
+func (s *session) setRunner(r *rfid.Runner) {
+	s.stageMu.Lock()
+	defer s.stageMu.Unlock()
+	if old := s.eng.Load(); old != nil {
+		cum := old.TraceRecorder().CumulativeStages()
+		for st := range s.stageBase {
+			s.stageBase[st] += cum[st]
+		}
+	}
+	s.eng.Store(r)
+}
+
+// fingerprint returns the fingerprint of the session's engine configuration,
+// computed from r on first use (see fp).
+func (s *session) fingerprint(r *rfid.Runner) uint64 {
+	s.fpOnce.Do(func() { s.fp = r.Fingerprint() })
+	return s.fp
+}
 
 // engine returns the resident runner (nil while evicted).
 func (s *session) engine() *rfid.Runner { return s.eng.Load() }
@@ -298,7 +332,7 @@ func newSession(id, label string, cfg Config, deps sessionDeps, manifest *api.Cr
 	}
 	s := buildSession(id, label, cfg, deps, manifest)
 	s.observeRunner(cfg.Runner)
-	s.eng.Store(cfg.Runner)
+	s.setRunner(cfg.Runner)
 	reg := query.NewRegistry(cfg.MaxBufferedResults)
 	// History-mode queries evaluate over the runner's time-travel ring (it
 	// reports "no history" when RunnerConfig.HistoryEpochs is zero).
@@ -733,13 +767,17 @@ func (s *session) scrapeGauges() {
 	if nanos := s.lastCkptNanos.Load(); nanos > 0 {
 		s.ckptAge.Set(time.Since(time.Unix(0, nanos)).Seconds())
 	}
+	s.stageMu.Lock()
+	total := s.stageBase
 	if r := s.eng.Load(); r != nil {
-		if rec := r.TraceRecorder(); rec != nil {
-			cum := rec.CumulativeStages()
-			for st, fc := range s.stageCum {
-				fc.RaiseTo(cum[st].Seconds())
-			}
+		cum := r.TraceRecorder().CumulativeStages()
+		for st := range total {
+			total[st] += cum[st]
 		}
+	}
+	s.stageMu.Unlock()
+	for st, fc := range s.stageCum {
+		fc.RaiseTo(total[st].Seconds())
 	}
 }
 

@@ -124,7 +124,7 @@ func GenerateLab(cfg LabConfig) (*Trace, error) {
 		cfg.Seed = d.Seed
 	}
 
-	src := rng.New(cfg.Seed)
+	src := rng.NewMathRand(cfg.Seed)
 	rowLength := float64(cfg.TagsPerShelf) * cfg.TagSpacing
 
 	world := model.NewWorld()

@@ -158,7 +158,7 @@ func GenerateWarehouse(cfg WarehouseConfig) (*Trace, error) {
 	if cfg.NumObjects <= 0 {
 		return nil, fmt.Errorf("sim: NumObjects must be positive")
 	}
-	src := rng.New(cfg.Seed)
+	src := rng.NewMathRand(cfg.Seed)
 
 	// Lay out objects in a grid: columns along y spaced ObjectSpacing apart,
 	// RowsDeep rows into the shelf depth.

@@ -96,7 +96,7 @@ func New(cfg Config, world *model.World) *Estimator {
 	return &Estimator{
 		cfg:   cfg,
 		world: world,
-		src:   rng.New(cfg.Seed),
+		src:   rng.NewMathRand(cfg.Seed),
 		tags:  make(map[stream.TagID]*tagState),
 	}
 }

@@ -32,7 +32,7 @@ func NewUniform(cfg Config, world *model.World) *Uniform {
 	return &Uniform{
 		cfg:    cfg,
 		world:  world,
-		src:    rng.New(cfg.Seed + 7919),
+		src:    rng.NewMathRand(cfg.Seed + 7919),
 		latest: make(map[stream.TagID]geom.Vec3),
 	}
 }
